@@ -348,49 +348,42 @@ fn main() {
     let csr_bytes = graph.size_in_bytes();
     let mut ondisk_runs = Vec::new();
     // 8 KiB pages: the rmat-14 data section spans enough pages that the cold-sweep
-    // hit rate (and the prefetch effect on it) is actually observable.
+    // hit rate is actually observable.
     let page_size = 8 * 1024usize;
     for page_budget in [128 * 1024usize, 2 * 1024 * 1024] {
-        for prefetch in [false, true] {
-            let mut ondisk_config = PartitionerConfig::terapart(16)
-                .with_page_budget(page_budget)
-                .with_prefetch(prefetch);
-            ondisk_config.ondisk.page_size = page_size;
-            let ondisk_tracker = PhaseTracker::new();
-            memtrack::global().reset_peak();
-            let result =
-                terapart::partition_ondisk_with_tracker(&tpg_path, &ondisk_config, &ondisk_tracker)
-                    .expect("on-disk bench run failed");
-            let peak = result.peak_memory_bytes.max(ondisk_tracker.overall_peak());
-            let cache = result.cache_stats;
-            println!(
-                "partition_ondisk @ {:>10} prefetch={:<5}: cut={} peak={} ({:.2}x of CSR) \
-                 time={:.2}s hit_rate={:.3} prefetched={}",
-                memtrack::format_bytes(page_budget),
-                prefetch,
-                result.edge_cut,
-                memtrack::format_bytes(peak),
-                peak as f64 / csr_bytes as f64,
-                result.total_time.as_secs_f64(),
-                cache.map(|c| c.hit_rate()).unwrap_or(0.0),
-                cache.map(|c| c.prefetched_pages).unwrap_or(0),
-            );
-            ondisk_runs.push(OndiskRun {
-                backend: "paged",
-                offsets: "ef",
-                offset_index_bytes: ef_meta.offsets_len_bytes(),
-                n: graph.n(),
-                page_budget_bytes: page_budget,
-                page_size_bytes: page_size,
-                prefetch,
-                time: result.total_time,
-                peak_memory_bytes: peak,
-                edge_cut: result.edge_cut,
-                csr_bytes,
-                phases: result.phase_reports,
-                cache,
-            });
-        }
+        let mut ondisk_config = PartitionerConfig::terapart(16).with_page_budget(page_budget);
+        ondisk_config.ondisk.page_size = page_size;
+        let ondisk_tracker = PhaseTracker::new();
+        memtrack::global().reset_peak();
+        let result =
+            terapart::partition_ondisk_with_tracker(&tpg_path, &ondisk_config, &ondisk_tracker)
+                .expect("on-disk bench run failed");
+        let peak = result.peak_memory_bytes.max(ondisk_tracker.overall_peak());
+        let cache = result.cache_stats;
+        println!(
+            "partition_ondisk @ {:>10}: cut={} peak={} ({:.2}x of CSR) time={:.2}s \
+             hit_rate={:.3}",
+            memtrack::format_bytes(page_budget),
+            result.edge_cut,
+            memtrack::format_bytes(peak),
+            peak as f64 / csr_bytes as f64,
+            result.total_time.as_secs_f64(),
+            cache.map(|c| c.hit_rate()).unwrap_or(0.0),
+        );
+        ondisk_runs.push(OndiskRun {
+            backend: "paged",
+            offsets: "ef",
+            offset_index_bytes: ef_meta.offsets_len_bytes(),
+            n: graph.n(),
+            page_budget_bytes: page_budget,
+            page_size_bytes: page_size,
+            time: result.total_time,
+            peak_memory_bytes: peak,
+            edge_cut: result.edge_cut,
+            csr_bytes,
+            phases: result.phase_reports,
+            cache,
+        });
     }
 
     // ---- Store-backend ladder: the same instance through the mmap fast path, on the
@@ -421,48 +414,31 @@ fn main() {
     // apples. The 2 MiB budget is the "container fits in RAM" point — mmap's home turf.
     let mut ladder_cut: Option<u64> = None;
     let mut ladder_times: Vec<(String, f64)> = Vec::new();
-    for (backend, ladder_path, offsets, meta, prefetch) in [
+    for (backend, ladder_path, offsets, meta) in [
         (
             graph::store::OnDiskBackend::Paged,
             &tpg_path,
             "ef",
             &ef_meta,
-            false,
         ),
-        (
-            graph::store::OnDiskBackend::Paged,
-            &tpg_path,
-            "ef",
-            &ef_meta,
-            true,
-        ),
-        (
-            graph::store::OnDiskBackend::Mmap,
-            &tpg_path,
-            "ef",
-            &ef_meta,
-            false,
-        ),
+        (graph::store::OnDiskBackend::Mmap, &tpg_path, "ef", &ef_meta),
         (
             graph::store::OnDiskBackend::Paged,
             &plain_path,
             "plain",
             &plain_meta,
-            false,
         ),
         (
             graph::store::OnDiskBackend::Mmap,
             &plain_path,
             "plain",
             &plain_meta,
-            false,
         ),
     ] {
         let is_mmap = backend == graph::store::OnDiskBackend::Mmap;
         let mut ladder_config = PartitionerConfig::terapart(16)
             .with_threads(1)
-            .with_store_backend(backend)
-            .with_prefetch(prefetch);
+            .with_store_backend(backend);
         if !is_mmap {
             ladder_config = ladder_config.with_page_budget(2 * 1024 * 1024);
             ladder_config.ondisk.page_size = page_size;
@@ -481,12 +457,7 @@ fn main() {
                 backend, offsets
             ),
         }
-        let label = format!(
-            "{}{}/{}",
-            if is_mmap { "mmap" } else { "paged" },
-            if prefetch { "+prefetch" } else { "" },
-            offsets
-        );
+        let label = format!("{}/{}", if is_mmap { "mmap" } else { "paged" }, offsets);
         println!(
             "partition_ondisk ladder {:<20}: cut={} peak={} ({:.2}x of CSR) time={:.2}s",
             label,
@@ -503,7 +474,6 @@ fn main() {
             n: graph.n(),
             page_budget_bytes: if is_mmap { 0 } else { 2 * 1024 * 1024 },
             page_size_bytes: if is_mmap { 0 } else { page_size },
-            prefetch,
             time: result.total_time,
             peak_memory_bytes: peak,
             edge_cut: result.edge_cut,
@@ -513,7 +483,7 @@ fn main() {
         });
     }
     let paged_ef_seconds = ladder_times[0].1;
-    let mmap_ef_seconds = ladder_times[2].1;
+    let mmap_ef_seconds = ladder_times[1].1;
     println!(
         "store-backend ladder: mmap {:.2}s vs paged {:.2}s ({:.2}x) at identical cut {}",
         mmap_ef_seconds,

@@ -2,11 +2,11 @@
 //! cache, run `partition_ondisk` at a page budget far below the instance size, and
 //! assert that (a) the uncompressed CSR exceeds the page budget, (b) the peak accounted
 //! memory stays below the uncompressed CSR byte size, and (c) the result is a complete,
-//! balanced partition. Then exercise the concurrent external-memory path end to end:
-//! (d) the pipelined streamed ingest must reproduce the materialised container byte for
-//! byte, and (e) a prefetch-enabled run must stay complete, balanced and below the CSR
-//! size while the readahead worker actually installs pages. Exits non-zero on any
-//! violation, so CI fails loudly.
+//! balanced partition. Then (d) the pipelined streamed ingest must reproduce the
+//! materialised container byte for byte, (e) the store-backend ladder (paged/mmap ×
+//! plain/Elias-Fano offsets) must produce one identical cut, and (f) one engine serving
+//! concurrent sessions on a shared store must reproduce the sequential cuts. Exits
+//! non-zero on any violation, so CI fails loudly.
 //!
 //! Usage: `ondisk_smoke [cache_dir]` (default: a fresh temp directory).
 
@@ -113,39 +113,10 @@ fn main() {
     );
     println!("streamed ingest byte-identical to the materialised container");
 
-    // ---- Prefetch-enabled run at the same starved budget: still complete, balanced
-    // and below the CSR size, with the readahead worker demonstrably active. ----
-    memtrack::global().reset_peak();
-    let prefetch_result = partition_ondisk(&path, &config.clone().with_prefetch(true))
-        .expect("prefetch-enabled on-disk run failed");
-    let cache = prefetch_result
-        .cache_stats
-        .expect("on-disk runs expose cache stats");
-    println!(
-        "prefetch run: cut={} peak={} hit_rate={:.3} prefetched_pages={}",
-        prefetch_result.edge_cut,
-        memtrack::format_bytes(prefetch_result.peak_memory_bytes),
-        cache.hit_rate(),
-        cache.prefetched_pages
-    );
-    assert!(
-        prefetch_result.partition.is_complete() && prefetch_result.partition.is_balanced(),
-        "SMOKE FAIL: prefetch-enabled run produced an invalid partition"
-    );
-    assert!(
-        prefetch_result.peak_memory_bytes < csr_bytes,
-        "SMOKE FAIL: prefetch-enabled peak {} B is not below the CSR size {} B",
-        prefetch_result.peak_memory_bytes,
-        csr_bytes
-    );
-    assert!(
-        cache.prefetched_pages > 0,
-        "SMOKE FAIL: the readahead worker never installed a page"
-    );
     // ---- Store-backend ladder (single-threaded, the bit-reproducible regime):
-    // paged, paged+prefetch and mmap must all produce the *identical* cut, on the
-    // Elias-Fano-offset container (the writer default) and on a plain-offset
-    // re-encoding of it — and the succinct index must actually be smaller. ----
+    // paged and mmap must produce the *identical* cut, on the Elias-Fano-offset
+    // container (the writer default) and on a plain-offset re-encoding of it — and
+    // the succinct index must actually be smaller. ----
     use graph::store::OnDiskBackend;
     let plain_container = cache_dir.join("smoke_plain.tpg");
     graph::store::write_tpg_from_graph_plain(
@@ -171,11 +142,6 @@ fn main() {
     let mut ladder_cut: Option<u64> = None;
     for (label, ladder_path, ladder_config) in [
         ("paged/ef", &path, ladder_base.clone()),
-        (
-            "paged+prefetch/ef",
-            &path,
-            ladder_base.clone().with_prefetch(true),
-        ),
         (
             "mmap/ef",
             &path,
@@ -211,7 +177,7 @@ fn main() {
         }
     }
     println!(
-        "store-backend ladder: identical cut {} across all five runs",
+        "store-backend ladder: identical cut {} across all four runs",
         ladder_cut.unwrap()
     );
 

@@ -118,8 +118,6 @@ pub struct OndiskRun {
     pub page_budget_bytes: usize,
     /// Page size of the run's cache, in bytes (0 for the mmap backend).
     pub page_size_bytes: usize,
-    /// Whether LP-aware page readahead (`OnDiskConfig::prefetch`) was enabled.
-    pub prefetch: bool,
     /// Wall-clock time of the run.
     pub time: Duration,
     /// Peak accounted memory during the run, in bytes.
@@ -130,7 +128,7 @@ pub struct OndiskRun {
     pub csr_bytes: usize,
     /// Per-phase reports of the run (includes the `open_store` phase).
     pub phases: Vec<memtrack::PhaseReport>,
-    /// Page-cache counters of the run (hit rate, prefetched pages, ...).
+    /// Page-cache counters of the run (hit rate, retried reads, ...).
     pub cache: Option<graph::store::CacheStatsSnapshot>,
 }
 
@@ -381,14 +379,13 @@ pub fn write_pipeline_json(
             .sum::<f64>();
         let cache = run.cache.unwrap_or_default();
         out.push_str(&format!(
-            "    {{\"backend\": \"{}\", \"offsets\": \"{}\", \"offset_index_bytes\": {}, \"offset_bytes_per_node\": {:.3}, \"page_budget_bytes\": {}, \"page_size_bytes\": {}, \"prefetch\": {}, \"seconds\": {:.6}, \"open_store_seconds\": {:.6}, \"peak_bytes\": {}, \"csr_bytes\": {}, \"peak_vs_csr\": {:.3}, \"edge_cut\": {}, \"cache_hits\": {}, \"cache_misses\": {}, \"cache_hit_rate\": {:.4}, \"prefetched_pages\": {}, \"retried_reads\": {}, \"checksum_failures\": {}}}{}\n",
+            "    {{\"backend\": \"{}\", \"offsets\": \"{}\", \"offset_index_bytes\": {}, \"offset_bytes_per_node\": {:.3}, \"page_budget_bytes\": {}, \"page_size_bytes\": {}, \"seconds\": {:.6}, \"open_store_seconds\": {:.6}, \"peak_bytes\": {}, \"csr_bytes\": {}, \"peak_vs_csr\": {:.3}, \"edge_cut\": {}, \"cache_hits\": {}, \"cache_misses\": {}, \"cache_hit_rate\": {:.4}, \"retried_reads\": {}, \"checksum_failures\": {}}}{}\n",
             run.backend,
             run.offsets,
             run.offset_index_bytes,
             run.offset_index_bytes as f64 / run.n.max(1) as f64,
             run.page_budget_bytes,
             run.page_size_bytes,
-            run.prefetch,
             run.time.as_secs_f64(),
             open_store_seconds,
             run.peak_memory_bytes,
@@ -398,7 +395,6 @@ pub fn write_pipeline_json(
             cache.hits,
             cache.misses,
             cache.hit_rate(),
-            cache.prefetched_pages,
             cache.retried_reads,
             cache.checksum_failures,
             if i + 1 < ondisk.len() { "," } else { "" }

@@ -110,14 +110,6 @@ impl StoreHandle {
     pub fn cache_stats(&self) -> Option<CacheStatsSnapshot> {
         self.as_paged().map(|g| g.cache_stats())
     }
-
-    /// Blocks until queued prefetch hints have been processed (no-op for
-    /// representations without a prefetcher).
-    pub fn wait_prefetch_idle(&self) {
-        if let Some(g) = self.as_paged() {
-            g.wait_prefetch_idle();
-        }
-    }
 }
 
 macro_rules! forward_to_variant {
@@ -164,9 +156,6 @@ impl Graph for StoreHandle {
     }
     fn max_degree(&self) -> usize {
         forward_to_variant!(self, g => g.max_degree())
-    }
-    fn prefetch(&self, nodes: &[NodeId]) {
-        forward_to_variant!(self, g => g.prefetch(nodes))
     }
     fn record_obs_metrics(&self, metrics: &obs::MetricsRegistry) {
         forward_to_variant!(self, g => g.record_obs_metrics(metrics))
@@ -321,9 +310,6 @@ impl Graph for StoreSession<'_> {
     }
     fn max_degree(&self) -> usize {
         self.as_graph().max_degree()
-    }
-    fn prefetch(&self, nodes: &[NodeId]) {
-        self.as_graph().prefetch(nodes)
     }
     fn record_obs_metrics(&self, metrics: &obs::MetricsRegistry) {
         self.as_graph().record_obs_metrics(metrics)

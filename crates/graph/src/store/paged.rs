@@ -16,36 +16,13 @@
 //! of an open `PagedGraph` is `offset index + node weights + committed page budget`,
 //! which the memory-ladder experiments compare against the uncompressed CSR size.
 //!
-//! # Prefetch
-//!
-//! With [`PagedGraphOptions::prefetch`] enabled, [`Graph::prefetch`] hints are honoured
-//! by the readahead machinery: the hinted nodes' byte ranges are translated to a
-//! deduplicated page list (in visit order); one window of that list is faulted
-//! synchronously at the hint (between LP rounds, never inside a lookup) and the rest
-//! is handed to a dedicated worker that faults the missing pages with batched,
-//! run-coalesced positional reads — overlapping the disk work with the caller's
-//! compute. The worker is **consumption-coupled**: it advances one window at a time
-//! and, before each window, waits until the CLOCK reference bits show the foreground
-//! has visited at least half of the previous one (prefetch installs clear the bit,
-//! foreground lookups set it), so readahead stays roughly one window ahead of the LP
-//! visit cursor instead of racing the whole hint into the cache at once. Readahead
-//! never blocks foreground lookups (pages are read outside the shard locks and
-//! installed under a brief lock) and never claims more than **half the frame budget
-//! per hint**, so CLOCK cannot be pressured into evicting the foreground's recent
-//! working set wholesale. Prefetched pages are installed with a clear reference bit:
-//! if the hint was wrong, they are the first candidates CLOCK recycles. Prefetch is
-//! purely an optimisation — results of all accesses, and therefore fixed-seed
-//! partitioning runs, are unaffected.
-//!
 //! [`CompressedGraph`]: crate::compressed::CompressedGraph
-//! [`Graph::prefetch`]: crate::traits::Graph::prefetch
 
 use std::cell::RefCell;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex as StdMutex, PoisonError};
 use std::time::Duration;
 
 use parking_lot::Mutex;
@@ -136,12 +113,8 @@ pub struct PagedGraphOptions {
     pub budget_bytes: usize,
     /// Number of independently locked shards.
     pub shards: usize,
-    /// Honour [`Graph::prefetch`] readahead hints with a
-    /// background readahead worker (see the module docs). Off by default; purely an
-    /// optimisation — results are identical either way.
-    pub prefetch: bool,
-    /// Retry policy for transient read failures (applies to page faults, readahead
-    /// and the open-time index read).
+    /// Retry policy for transient read failures (applies to page faults and the
+    /// open-time index read).
     pub retry: RetryPolicy,
     /// Store implementation the on-disk entry points (`partition_ondisk`) open the
     /// container with. The page-cache knobs above only apply to [`Paged`]; the
@@ -158,7 +131,6 @@ impl Default for PagedGraphOptions {
             page_size: 64 * 1024,
             budget_bytes: 8 * 1024 * 1024,
             shards: 8,
-            prefetch: false,
             retry: RetryPolicy::default(),
             backend: OnDiskBackend::Paged,
         }
@@ -173,12 +145,6 @@ impl PagedGraphOptions {
             ..Self::default()
         }
     }
-
-    /// Enables or disables the readahead worker, returning the modified options.
-    pub fn with_prefetch(mut self, prefetch: bool) -> Self {
-        self.prefetch = prefetch;
-        self
-    }
 }
 
 /// Point-in-time counters of one page cache.
@@ -188,16 +154,10 @@ pub struct CacheStatsSnapshot {
     pub hits: u64,
     /// Foreground page lookups that required a disk read.
     pub misses: u64,
-    /// Frames whose previous page was evicted to serve a miss or a prefetch install.
+    /// Frames whose previous page was evicted to serve a miss.
     pub evictions: u64,
-    /// Bytes read from disk by foreground faults (prefetch reads are counted in
-    /// [`prefetch_bytes`](Self::prefetch_bytes) instead).
+    /// Bytes read from disk by page faults.
     pub bytes_read: u64,
-    /// Pages installed by readahead. Foreground lookups that land on them count as
-    /// hits, which is how prefetch lifts the cold-sweep hit rate.
-    pub prefetched_pages: u64,
-    /// Bytes read from disk by readahead.
-    pub prefetch_bytes: u64,
     /// Read attempts repeated after a transient failure (see
     /// [`PagedGraphOptions::retry`]).
     pub retried_reads: u64,
@@ -223,8 +183,6 @@ impl CacheStatsSnapshot {
         use obs::Counter;
         metrics.add(Counter::CacheHits, self.hits);
         metrics.add(Counter::CacheMisses, self.misses);
-        metrics.add(Counter::CachePrefetchedPages, self.prefetched_pages);
-        metrics.add(Counter::CachePrefetchBytes, self.prefetch_bytes);
         metrics.add(Counter::CacheRetriedReads, self.retried_reads);
         metrics.add(Counter::CacheChecksumFailures, self.checksum_failures);
     }
@@ -236,8 +194,6 @@ struct CacheStats {
     misses: AtomicU64,
     evictions: AtomicU64,
     bytes_read: AtomicU64,
-    prefetched_pages: AtomicU64,
-    prefetch_bytes: AtomicU64,
     retried_reads: AtomicU64,
     checksum_failures: AtomicU64,
 }
@@ -245,6 +201,8 @@ struct CacheStats {
 struct Frame {
     page: u64,
     len: u32,
+    /// CLOCK reference bit: set when the page is installed and on every hit, cleared
+    /// as the hand sweeps past.
     referenced: bool,
     data: Box<[u8]>,
 }
@@ -288,67 +246,12 @@ fn read_error_is_transient(e: &io::Error) -> bool {
     is_checksum_mismatch(e) || io_error_is_transient(e)
 }
 
-/// Longest run of consecutive pages coalesced into a single readahead syscall; bounds
-/// the prefetch staging buffer (`MAX_PREFETCH_RUN_PAGES · page_size` bytes).
-const MAX_PREFETCH_RUN_PAGES: usize = 16;
-
-/// Consecutive readahead-batch failures after which the worker downgrades the run to
-/// prefetch-off (graceful degradation: foreground faults keep the pipeline alive).
-const PREFETCH_FAILURE_LIMIT: u32 = 3;
-
-/// Readahead staging buffer: grows to the largest coalesced run actually read and
-/// charges that footprint to the global memory accounting until dropped (covering
-/// early error returns too).
-#[derive(Default)]
-struct StagingBuf {
-    buf: Vec<u8>,
-    charged: usize,
-}
-
-impl StagingBuf {
-    /// The first `len` staging bytes, growing (and charging) the buffer as needed.
-    fn ensure(&mut self, len: usize) -> &mut [u8] {
-        if self.buf.len() < len {
-            let grow = len - self.buf.len();
-            self.buf.resize(len, 0);
-            memtrack::global().add(grow);
-            self.charged += grow;
-        }
-        &mut self.buf[..len]
-    }
-}
-
-impl Drop for StagingBuf {
-    fn drop(&mut self) {
-        memtrack::global().sub(self.charged);
-    }
-}
-
-/// Fraction of the previous window's pages the foreground must have consumed before
-/// the readahead worker faults the next window (see [`PageCache::prefetch_window`]).
-const PREFETCH_CONSUMED_FRACTION: f64 = 0.5;
-
-/// Poll interval of the worker's consumption gate. Short enough that a freshly
-/// consumed window releases the next one well within a page-fault's latency; long
-/// enough that a stalled consumer costs no measurable CPU.
-const PREFETCH_POLL_INTERVAL: Duration = Duration::from_micros(200);
-
-/// A visit-ordered page list handed to the readahead worker. `pages[..start]` was
-/// already faulted synchronously at the hint (the head-start window); the worker
-/// works through `pages[start..]` window by window under the consumption gate.
-struct PrefetchHint {
-    pages: Vec<u64>,
-    start: usize,
-}
-
 /// Sharded CLOCK page cache over the data section of one `.tpg` file.
 struct PageCache {
     backend: Box<dyn StorageBackend>,
     data_start: u64,
     data_len: u64,
     page_size: usize,
-    /// Total frame budget across all shards (the prefetch cap derives from it).
-    total_frames: usize,
     shards: Vec<Mutex<Shard>>,
     stats: CacheStats,
     /// Bytes charged to the global memory accounting for allocated frames.
@@ -358,9 +261,6 @@ struct PageCache {
     checksums: Option<TpgChecksums>,
     /// Retry policy for transient read failures.
     retry: RetryPolicy,
-    /// Set by the readahead worker after repeated failures: readahead is disabled for
-    /// the rest of the run while foreground reads keep working (graceful degradation).
-    prefetch_disabled: AtomicBool,
 }
 
 impl PageCache {
@@ -390,13 +290,11 @@ impl PageCache {
             data_start,
             data_len,
             page_size,
-            total_frames: shards.len() * per_shard.max(1),
             shards,
             stats: CacheStats::default(),
             charged: AtomicUsize::new(0),
             checksums,
             retry: options.retry,
-            prefetch_disabled: AtomicBool::new(false),
         }
     }
 
@@ -476,8 +374,7 @@ impl PageCache {
 
     /// Reads `dest.len()` bytes at data-section offset `offset` with verification,
     /// retrying transient failures per [`PagedGraphOptions::retry`] with exponential
-    /// backoff. All page-cache disk reads (foreground faults and readahead) funnel
-    /// through here.
+    /// backoff. All page-cache disk reads funnel through here.
     fn read_verified(&self, dest: &mut [u8], offset: u64) -> io::Result<()> {
         let mut attempt = 0u32;
         loop {
@@ -617,141 +514,12 @@ impl PageCache {
         Ok(())
     }
 
-    fn is_resident(&self, page: u64) -> bool {
-        self.shard_of(page).lock().map.contains_key(&page)
-    }
-
-    /// Installs `data` as `page` unless it is already resident (e.g. a foreground
-    /// fault raced the readahead); the shard lock is held only for the frame copy.
-    /// Prefetched pages enter with a **clear** reference bit so that mispredicted
-    /// readahead is the first thing CLOCK recycles. Returns whether it installed.
-    fn install_page(&self, page: u64, data: &[u8]) -> bool {
-        let mut s = self.shard_of(page).lock();
-        if s.map.contains_key(&page) {
-            return false;
-        }
-        let idx = self.claim_frame(&mut s);
-        let frame = &mut s.frames[idx];
-        frame.data[..data.len()].copy_from_slice(data);
-        frame.page = page;
-        frame.len = data.len() as u32;
-        frame.referenced = false;
-        s.map.insert(page, idx);
-        true
-    }
-
-    /// Batched readahead of `pages` (in the given order): missing pages are read with
-    /// run-coalesced positional reads *outside* any shard lock and installed
-    /// afterwards, so foreground lookups are never blocked behind prefetch I/O.
-    /// Returns the number of pages installed.
-    fn prefetch_pages(&self, pages: &[u64]) -> io::Result<usize> {
-        let ps = self.page_size as u64;
-        // Staging grows to the largest coalesced run actually seen (shuffled orders
-        // produce 1–2-page runs, far below the cap) and is charged to the memory
-        // accounting for the duration of the call.
-        let mut staging = StagingBuf::default();
-        let mut installed = 0usize;
-        let mut i = 0usize;
-        while i < pages.len() {
-            if self.is_resident(pages[i]) {
-                i += 1;
-                continue;
-            }
-            // Coalesce a run of consecutive, non-resident pages into one read.
-            let mut run = 1usize;
-            while run < MAX_PREFETCH_RUN_PAGES
-                && i + run < pages.len()
-                && pages[i + run] == pages[i] + run as u64
-                && !self.is_resident(pages[i + run])
-            {
-                run += 1;
-            }
-            let first_len = self.page_len(pages[i])?;
-            let offset = pages[i] * ps;
-            let available = self.data_len - offset;
-            let run_len = available.min(run as u64 * ps) as usize;
-            debug_assert!(first_len <= run_len);
-            self.read_verified(staging.ensure(run_len), offset)?;
-            self.stats
-                .prefetch_bytes
-                .fetch_add(run_len as u64, Ordering::Relaxed);
-            for j in 0..run {
-                let page_offset = j * self.page_size;
-                if page_offset >= run_len {
-                    // A later page of the run starts beyond the data section: surface
-                    // the same corruption error a foreground fault would.
-                    return Err(io::Error::new(
-                        io::ErrorKind::UnexpectedEof,
-                        format!(
-                            "page {} starts at or beyond the {}-byte data section \
-                             (corrupted or truncated .tpg container)",
-                            pages[i + j],
-                            self.data_len
-                        ),
-                    ));
-                }
-                let page_len = (run_len - page_offset).min(self.page_size);
-                if self.install_page(
-                    pages[i + j],
-                    &staging.buf[page_offset..page_offset + page_len],
-                ) {
-                    installed += 1;
-                }
-            }
-            i += run;
-        }
-        self.stats
-            .prefetched_pages
-            .fetch_add(installed as u64, Ordering::Relaxed);
-        Ok(installed)
-    }
-
-    /// Most pages a single prefetch hint may claim: half the frame budget, so
-    /// readahead can never displace the foreground's recent working set wholesale.
-    fn max_prefetch_pages(&self) -> usize {
-        (self.total_frames / 2).max(1)
-    }
-
-    /// Pages per readahead window — the granularity the consumption-coupled throttle
-    /// advances at. An eighth of the frame budget keeps a full window plus the
-    /// foreground's working set comfortably resident at any cache geometry; the
-    /// clamp bounds syscall overhead on tiny caches and hint latency on huge ones.
-    fn prefetch_window(&self) -> usize {
-        (self.total_frames / 8).clamp(4, 256)
-    }
-
-    /// Fraction of `pages` the foreground has consumed, judged by the CLOCK
-    /// reference bits: prefetch installs a page with the bit clear, a foreground
-    /// lookup sets it. A page that is *gone* from the cache (evicted, or never
-    /// installed because the hint raced teardown) also counts as consumed — a
-    /// mispredicted or pressure-evicted window must never stall the worker forever.
-    fn referenced_fraction(&self, pages: &[u64]) -> f64 {
-        if pages.is_empty() {
-            return 1.0;
-        }
-        let mut consumed = 0usize;
-        for &page in pages {
-            let s = self.shard_of(page).lock();
-            match s.map.get(&page) {
-                Some(&idx) => {
-                    if s.frames[idx].referenced {
-                        consumed += 1;
-                    }
-                }
-                None => consumed += 1,
-            }
-        }
-        consumed as f64 / pages.len() as f64
-    }
-
     fn snapshot(&self) -> CacheStatsSnapshot {
         CacheStatsSnapshot {
             hits: self.stats.hits.load(Ordering::Relaxed),
             misses: self.stats.misses.load(Ordering::Relaxed),
             evictions: self.stats.evictions.load(Ordering::Relaxed),
             bytes_read: self.stats.bytes_read.load(Ordering::Relaxed),
-            prefetched_pages: self.stats.prefetched_pages.load(Ordering::Relaxed),
-            prefetch_bytes: self.stats.prefetch_bytes.load(Ordering::Relaxed),
             retried_reads: self.stats.retried_reads.load(Ordering::Relaxed),
             checksum_failures: self.stats.checksum_failures.load(Ordering::Relaxed),
         }
@@ -776,75 +544,6 @@ fn with_decode_buf<R>(f: impl FnOnce(&mut Vec<u8>) -> R) -> R {
         Ok(mut buf) => f(&mut buf),
         Err(_) => f(&mut Vec::new()),
     })
-}
-
-/// Pending-hint bookkeeping of the readahead worker, used to drain the queue
-/// deterministically ([`PagedGraph::wait_prefetch_idle`]) before snapshotting stats or
-/// dropping the graph.
-struct PrefetchQueue {
-    pending: StdMutex<usize>,
-    idle: Condvar,
-    /// Callers currently blocked in [`wait_idle`](Self::wait_idle). While non-zero
-    /// the worker's consumption gate is lifted — the waiter *wants* the queue
-    /// drained, and gating on a consumer that is itself blocked waiting would
-    /// deadlock.
-    draining: AtomicUsize,
-    /// Set (permanently) at graph teardown, before the hint channel closes, so a
-    /// worker stalled in the consumption gate exits its current hint promptly
-    /// instead of deadlocking the joining `Drop`.
-    shutdown: AtomicBool,
-}
-
-impl PrefetchQueue {
-    // Poison-tolerant locking throughout: the counter is a plain usize that is valid
-    // under any interleaving, so a hint sender that panicked while holding the lock
-    // must not wedge `wait_prefetch_idle` (or take the whole run down) — recover the
-    // guard and keep draining.
-
-    fn enqueue_one(&self) {
-        *self.pending.lock().unwrap_or_else(PoisonError::into_inner) += 1;
-    }
-
-    fn finish_one(&self) {
-        let mut pending = self.pending.lock().unwrap_or_else(PoisonError::into_inner);
-        *pending = pending.saturating_sub(1);
-        if *pending == 0 {
-            self.idle.notify_all();
-        }
-    }
-
-    fn pending_count(&self) -> usize {
-        *self.pending.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Whether the worker should stop gating on consumption and drain outstanding
-    /// hints as fast as it can.
-    fn drain_requested(&self) -> bool {
-        self.shutdown.load(Ordering::Acquire) || self.draining.load(Ordering::Acquire) > 0
-    }
-
-    fn wait_idle(&self) {
-        self.draining.fetch_add(1, Ordering::AcqRel);
-        let mut pending = self.pending.lock().unwrap_or_else(PoisonError::into_inner);
-        while *pending > 0 {
-            pending = self
-                .idle
-                .wait(pending)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
-        drop(pending);
-        self.draining.fetch_sub(1, Ordering::AcqRel);
-    }
-}
-
-/// The background readahead worker of one [`PagedGraph`] (present iff
-/// [`PagedGraphOptions::prefetch`] is set).
-struct Prefetcher {
-    /// Hint channel to the worker; `None` once the graph is shutting down. Bounded so
-    /// a stalled worker makes `try_send` drop hints instead of queueing unboundedly.
-    tx: Option<mpsc::SyncSender<PrefetchHint>>,
-    queue: Arc<PrefetchQueue>,
-    handle: Option<std::thread::JoinHandle<()>>,
 }
 
 /// The first fatal I/O error of a poisoned [`PagedGraph`], plus the context the fault
@@ -884,9 +583,8 @@ pub struct PagedGraph {
     offsets: OffsetIndex,
     /// Node weights, empty when uniform.
     node_weights: Vec<NodeWeight>,
-    /// Shared with the readahead worker (when enabled).
-    cache: Arc<PageCache>,
-    prefetcher: Option<Prefetcher>,
+    /// Boxed so a `PagedGraph` stays small enough to sit inline in a `StoreHandle`.
+    cache: Box<PageCache>,
     /// Bytes charged for the semi-external arrays, released on drop.
     resident_charge: usize,
     /// Fast-path flag of the poison protocol (see the type-level docs).
@@ -961,7 +659,7 @@ impl PagedGraph {
                 .as_ref()
                 .map_or(0, |ck| ck.blocks.len() * std::mem::size_of::<u32>());
         memtrack::global().add(resident_charge);
-        let cache = Arc::new(PageCache::new(
+        let cache = Box::new(PageCache::new(
             backend,
             meta.data_start(),
             meta.data_len,
@@ -972,105 +670,12 @@ impl PagedGraph {
             .stats
             .retried_reads
             .fetch_add(open_retries, Ordering::Relaxed);
-        let prefetcher = if options.prefetch {
-            let (tx, rx) = mpsc::sync_channel::<PrefetchHint>(8);
-            let queue = Arc::new(PrefetchQueue {
-                pending: StdMutex::new(0),
-                idle: Condvar::new(),
-                draining: AtomicUsize::new(0),
-                shutdown: AtomicBool::new(false),
-            });
-            let worker_cache = Arc::clone(&cache);
-            let worker_queue = Arc::clone(&queue);
-            let spawned = std::thread::Builder::new()
-                .name("tpg-prefetch".into())
-                .spawn(move || {
-                    /// `finish_one` must run even if a hint handler panics, so
-                    /// `wait_prefetch_idle` can never wedge on a dead worker.
-                    struct FinishGuard<'a>(&'a PrefetchQueue);
-                    impl Drop for FinishGuard<'_> {
-                        fn drop(&mut self) {
-                            self.0.finish_one();
-                        }
-                    }
-                    let mut consecutive_failures = 0u32;
-                    while let Ok(hint) = rx.recv() {
-                        let _guard = FinishGuard(&worker_queue);
-                        if worker_cache.prefetch_disabled.load(Ordering::Acquire) {
-                            continue;
-                        }
-                        // Consumption-coupled readahead: advance one window at a
-                        // time, and before each window wait until the reference
-                        // bits show the foreground has visited at least half of
-                        // the previous one (the synchronous head-start is the
-                        // first "previous window"). A drain request lifts the
-                        // gate; a newer pending hint supersedes this one — the LP
-                        // cursor has moved on, so the rest of this hint is stale.
-                        let window = worker_cache.prefetch_window();
-                        let mut prev = 0..hint.start;
-                        let mut next = hint.start;
-                        let mut failed = false;
-                        'windows: while next < hint.pages.len() {
-                            while !worker_queue.drain_requested()
-                                && worker_cache.referenced_fraction(&hint.pages[prev.clone()])
-                                    < PREFETCH_CONSUMED_FRACTION
-                            {
-                                if worker_queue.pending_count() > 1 {
-                                    break 'windows;
-                                }
-                                std::thread::sleep(PREFETCH_POLL_INTERVAL);
-                            }
-                            let end = (next + window).min(hint.pages.len());
-                            // Readahead is advisory: an I/O error here will
-                            // surface (with full context) on the foreground access
-                            // instead. But a *persistently* failing worker stops
-                            // burning the disk with doomed readahead — prefetch
-                            // downgrades to off and the run stays alive on
-                            // foreground faults alone.
-                            if worker_cache.prefetch_pages(&hint.pages[next..end]).is_err() {
-                                failed = true;
-                                break 'windows;
-                            }
-                            prev = next..end;
-                            next = end;
-                        }
-                        if failed {
-                            consecutive_failures += 1;
-                            if consecutive_failures >= PREFETCH_FAILURE_LIMIT {
-                                worker_cache
-                                    .prefetch_disabled
-                                    .store(true, Ordering::Release);
-                            }
-                        } else {
-                            consecutive_failures = 0;
-                        }
-                    }
-                });
-            let handle = match spawned {
-                Ok(handle) => handle,
-                Err(e) => {
-                    memtrack::global().sub(resident_charge);
-                    return Err(IoError::Format(format!(
-                        "failed to spawn the prefetch worker: {}",
-                        e
-                    )));
-                }
-            };
-            Some(Prefetcher {
-                tx: Some(tx),
-                queue,
-                handle: Some(handle),
-            })
-        } else {
-            None
-        };
         Ok(Self {
             meta,
             path,
             offsets,
             node_weights,
             cache,
-            prefetcher,
             resident_charge,
             poisoned: AtomicBool::new(false),
             fatal: Mutex::new(None),
@@ -1196,69 +801,10 @@ impl PagedGraph {
     pub fn first_edge(&self, u: NodeId) -> EdgeId {
         self.header(u).0
     }
-
-    /// Translates a node visit order into the (deduplicated, visit-ordered) list of
-    /// data-section pages covering their encoded neighbourhoods, capped at half the
-    /// frame budget (see [`PageCache::max_prefetch_pages`]).
-    fn pages_covering(&self, nodes: &[NodeId]) -> Vec<u64> {
-        let cap = self.cache.max_prefetch_pages();
-        let ps = self.cache.page_size as u64;
-        let mut pages = Vec::new();
-        let mut seen: HashSet<u64> = HashSet::new();
-        for &u in nodes {
-            let (start, end) = self.offsets.pair(u as usize);
-            if start >= end {
-                continue;
-            }
-            for page in (start / ps)..=((end - 1) / ps) {
-                if seen.insert(page) {
-                    pages.push(page);
-                    if pages.len() >= cap {
-                        return pages;
-                    }
-                }
-            }
-        }
-        pages
-    }
-
-    /// Synchronous readahead of the neighbourhood byte ranges of `nodes` (in visit
-    /// order, capped at half the frame budget): missing pages are faulted with batched
-    /// run-coalesced positional reads. Returns the number of pages installed. The
-    /// asynchronous variant is the [`Graph::prefetch`] hint (requires
-    /// [`PagedGraphOptions::prefetch`]); this one works on any open graph and is what
-    /// deterministic tests use.
-    pub fn prefetch_sync(&self, nodes: &[NodeId]) -> io::Result<usize> {
-        let pages = self.pages_covering(nodes);
-        self.cache.prefetch_pages(&pages)
-    }
-
-    /// Blocks until every queued [`Graph::prefetch`] hint has been processed (no-op
-    /// when prefetch is disabled). Call before reading [`cache_stats`] for settled
-    /// prefetch counters.
-    ///
-    /// [`cache_stats`]: PagedGraph::cache_stats
-    pub fn wait_prefetch_idle(&self) {
-        if let Some(prefetcher) = &self.prefetcher {
-            prefetcher.queue.wait_idle();
-        }
-    }
 }
 
 impl Drop for PagedGraph {
     fn drop(&mut self) {
-        if let Some(prefetcher) = &mut self.prefetcher {
-            // Lift the consumption gate *before* closing the hint channel: a worker
-            // stalled mid-hint waiting for a consumer that will never come must
-            // drain and exit, or the join below would deadlock.
-            prefetcher.queue.shutdown.store(true, Ordering::Release);
-            // Close the hint channel and join the worker so the shared cache (and its
-            // memory charge) is released deterministically with the graph.
-            drop(prefetcher.tx.take());
-            if let Some(handle) = prefetcher.handle.take() {
-                let _ = handle.join();
-            }
-        }
         memtrack::global().sub(self.resident_charge);
     }
 }
@@ -1310,63 +856,11 @@ impl Graph for PagedGraph {
     }
 
     fn record_obs_metrics(&self, metrics: &obs::MetricsRegistry) {
-        // Settle queued readahead first so the exported prefetch counters are final.
-        self.wait_prefetch_idle();
         self.cache_stats().export_into(metrics);
     }
 
     fn max_degree(&self) -> usize {
         self.meta.max_degree
-    }
-
-    /// Hands the upcoming visit order to the readahead machinery (no-op unless the
-    /// graph was opened with [`PagedGraphOptions::prefetch`]). One window of pages is
-    /// faulted synchronously as the head-start — coalesced reads issued between
-    /// rounds, so the round's first accesses hit even when the worker thread has not
-    /// been scheduled yet (the single-core case). The remainder goes to the worker,
-    /// which follows the foreground's consumption window by window (see the module
-    /// docs); if the worker is behind, the hint is dropped — page *lookups* are never
-    /// blocked, and the foreground simply faults on demand.
-    fn prefetch(&self, nodes: &[NodeId]) {
-        let Some(prefetcher) = &self.prefetcher else {
-            return;
-        };
-        if nodes.is_empty()
-            || self.is_poisoned()
-            || self.cache.prefetch_disabled.load(Ordering::Acquire)
-        {
-            return;
-        }
-        let pages = self.pages_covering(nodes);
-        if pages.is_empty() {
-            return;
-        }
-        // Halve the head-start against the per-hint cap: a hint at the cap always
-        // leaves a tail for the worker, so the asynchronous path is reachable at any
-        // cache geometry (not only when the cap exceeds the window size).
-        let head_start = self
-            .cache
-            .prefetch_window()
-            .min((self.cache.max_prefetch_pages() / 2).max(1))
-            .min(pages.len());
-        // Advisory: readahead errors are dropped; the foreground access surfaces them.
-        let _ = self.cache.prefetch_pages(&pages[..head_start]);
-        if head_start == pages.len() {
-            return;
-        }
-        // The channel is only taken in `Drop`, but a hint racing teardown must not
-        // panic — it is advisory either way.
-        let Some(tx) = prefetcher.tx.as_ref() else {
-            return;
-        };
-        prefetcher.queue.enqueue_one();
-        let hint = PrefetchHint {
-            pages,
-            start: head_start,
-        };
-        if tx.try_send(hint).is_err() {
-            prefetcher.queue.finish_one();
-        }
     }
 }
 
@@ -1590,7 +1084,7 @@ mod tests {
     #[test]
     fn corrupted_offset_index_surfaces_unexpected_eof() {
         // Regression (satellite bugfix): an offset entry pointing past the data
-        // section must produce a proper error through the public prefetch path, not a
+        // section must produce a proper error through the fallible read path, not a
         // wrapped subtraction and a bogus read.
         let csr = gen::grid2d(12, 12);
         let path = tmp("corrupt_offsets.tpg");
@@ -1618,211 +1112,13 @@ mod tests {
         bytes[crc_pos..crc_pos + 4].copy_from_slice(&offsets_crc.to_le_bytes());
         std::fs::write(&path, &bytes).unwrap();
         let paged = PagedGraph::open_with_options(&path, &tiny_options()).unwrap();
-        let err = paged.prefetch_sync(&[2]).unwrap_err();
+        let err = paged.try_for_each_neighbor(2, &mut |_, _| {}).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
         assert!(
             err.to_string().contains("data section"),
             "unexpected error: {}",
             err
         );
-        std::fs::remove_file(path).ok();
-    }
-
-    #[test]
-    fn prefetch_sync_raises_the_cold_sweep_hit_rate() {
-        // The satellite acceptance assertion: warming each window of a shuffled cold
-        // sweep through the prefetch API must turn that window's foreground faults
-        // into hits — strictly fewer misses, strictly higher hit rate — while decoding
-        // identical neighbourhoods.
-        let csr = gen::rgg2d(20_000, 12, 21);
-        let config = CompressionConfig::default();
-        let path = tmp("prefetch_hit_rate.tpg");
-        let summary = write_tpg_from_graph(&csr, &path, &config).unwrap();
-        let options = PagedGraphOptions {
-            page_size: 4096,
-            budget_bytes: 64 * 1024,
-            shards: 2,
-            ..PagedGraphOptions::default()
-        };
-        assert!(
-            summary.data_bytes as usize > 2 * options.budget_bytes,
-            "instance too small to stress the cache: {} data bytes",
-            summary.data_bytes
-        );
-        // A shuffled visit order (stride permutation) defeats sequential locality,
-        // like the shuffled LP round orders do.
-        let n = csr.n();
-        let order: Vec<NodeId> = (0..n).map(|i| ((i * 811) % n) as NodeId).collect();
-
-        let baseline = PagedGraph::open_with_options(&path, &options).unwrap();
-        let baseline_nbrs: Vec<_> = order.iter().map(|&u| baseline.neighbors_vec(u)).collect();
-        let cold = baseline.cache_stats();
-        assert!(cold.evictions > 0, "budget too large to stress the cache");
-
-        let prefetched = PagedGraph::open_with_options(&path, &options).unwrap();
-        // Window of nodes small enough that its page set fits the per-hint cap.
-        let window = 8;
-        let mut warmed_nbrs = Vec::with_capacity(n);
-        for chunk in order.chunks(window) {
-            prefetched.prefetch_sync(chunk).unwrap();
-            for &u in chunk {
-                warmed_nbrs.push(prefetched.neighbors_vec(u));
-            }
-        }
-        let warmed = prefetched.cache_stats();
-        assert_eq!(
-            baseline_nbrs, warmed_nbrs,
-            "prefetch changed decode results"
-        );
-        assert!(warmed.prefetched_pages > 0, "no pages were prefetched");
-        assert!(
-            warmed.misses < cold.misses,
-            "prefetch did not reduce foreground misses: {:?} vs {:?}",
-            warmed,
-            cold
-        );
-        assert!(
-            warmed.hit_rate() > cold.hit_rate(),
-            "prefetch did not raise the hit rate: {:.3} vs {:.3}",
-            warmed.hit_rate(),
-            cold.hit_rate()
-        );
-        std::fs::remove_file(path).ok();
-    }
-
-    #[test]
-    fn async_prefetch_hints_are_advisory_and_results_identical() {
-        let csr = gen::weblike(13, 12, 5);
-        let config = CompressionConfig::default();
-        let compressed = CompressedGraph::from_csr(&csr, &config);
-        let path = tmp("async_prefetch.tpg");
-        let summary = write_tpg_from_graph(&csr, &path, &config).unwrap();
-        // Small pages so the hint far exceeds the synchronous head-start window: the
-        // tail of the page list must flow through the background worker.
-        let options = PagedGraphOptions {
-            prefetch: true,
-            page_size: 1024,
-            budget_bytes: 256 * 1024,
-            ..PagedGraphOptions::default()
-        };
-        let paged = PagedGraph::open_with_options(&path, &options).unwrap();
-        let head_start = paged
-            .cache
-            .prefetch_window()
-            .min((paged.cache.max_prefetch_pages() / 2).max(1));
-        let data_pages = summary.data_bytes.div_ceil(options.page_size as u64);
-        assert!(
-            data_pages > 2 * head_start as u64,
-            "instance too small to reach the worker path: {} pages, head {}",
-            data_pages,
-            head_start
-        );
-        let order: Vec<NodeId> = (0..csr.n() as NodeId).collect();
-        // Hint through the Graph trait (what the LP round driver calls), then drain:
-        // the drain request lifts the consumption gate, so the worker must finish the
-        // whole hint without any foreground consumption.
-        Graph::prefetch(&paged, &order);
-        paged.wait_prefetch_idle();
-        let stats = paged.cache_stats();
-        assert!(
-            stats.prefetched_pages > head_start as u64,
-            "the background worker installed nothing beyond the synchronous \
-             head-start: {:?}",
-            stats
-        );
-        for u in 0..csr.n() as NodeId {
-            assert_eq!(paged.neighbors_vec(u), compressed.neighbors_vec(u));
-        }
-        // Hints on a graph without the worker are cheap no-ops.
-        let plain = PagedGraph::open_with_options(&path, &tiny_options()).unwrap();
-        Graph::prefetch(&plain, &order);
-        plain.wait_prefetch_idle();
-        assert_eq!(plain.cache_stats().prefetched_pages, 0);
-        std::fs::remove_file(path).ok();
-    }
-
-    #[test]
-    fn prefetch_worker_is_throttled_by_consumption() {
-        // The consumption-coupled throttle: after the synchronous head start, the
-        // background worker must not run ahead of the foreground — each readahead
-        // window is gated on the previous one being at least half consumed (judged
-        // by the CLOCK reference bits). A stalled consumer therefore pins the worker
-        // at the head; consuming the head releases the next window; a drain request
-        // lifts the gate entirely.
-        let csr = gen::weblike(13, 12, 5);
-        let config = CompressionConfig::default();
-        let compressed = CompressedGraph::from_csr(&csr, &config);
-        let path = tmp("throttle.tpg");
-        write_tpg_from_graph(&csr, &path, &config).unwrap();
-        let options = PagedGraphOptions {
-            prefetch: true,
-            page_size: 512,
-            budget_bytes: 128 * 1024,
-            ..PagedGraphOptions::default()
-        };
-        let paged = PagedGraph::open_with_options(&path, &options).unwrap();
-        let window = paged.cache.prefetch_window();
-        let head = window.min((paged.cache.max_prefetch_pages() / 2).max(1));
-        let order: Vec<NodeId> = (0..csr.n() as NodeId).collect();
-        let pages = paged.pages_covering(&order);
-        // The geometry the assertions below rely on: the hint spans well over two
-        // windows beyond the head, and every hinted page fits in the frame budget
-        // at once (no evictions, so the reference bits are trustworthy).
-        assert!(
-            pages.len() >= head + 2 * window && pages.len() <= paged.cache.total_frames / 2,
-            "bad test geometry: {} pages, head {}, window {}",
-            pages.len(),
-            head,
-            window
-        );
-
-        Graph::prefetch(&paged, &order);
-        // Nothing consumed yet: the head start is installed synchronously with its
-        // reference bits clear, so the worker's gate on it cannot open. Give the
-        // worker ample real time to overrun if it were going to.
-        std::thread::sleep(Duration::from_millis(100));
-        let stalled = paged.cache_stats().prefetched_pages;
-        assert_eq!(stalled, head as u64, "worker ran ahead of an idle consumer");
-
-        // Consume the visit order from the front. Decoding sets the reference bits,
-        // which opens the gate one window at a time; the worker must make progress.
-        let mut consumed = Vec::new();
-        let mut advanced = false;
-        'consume: for chunk in order.chunks(64) {
-            for &u in chunk {
-                consumed.push((u, paged.neighbors_vec(u)));
-            }
-            for _ in 0..200 {
-                if paged.cache_stats().prefetched_pages > stalled {
-                    advanced = true;
-                    break 'consume;
-                }
-                std::thread::sleep(Duration::from_millis(1));
-            }
-        }
-        assert!(advanced, "consumption did not release the throttle");
-        // One window released, not the whole tail: the worker stays coupled to the
-        // consumer. (The consumption loop may have referenced a little past the
-        // head before we observed the release, hence the one-extra-window slack.)
-        std::thread::sleep(Duration::from_millis(50));
-        let after = paged.cache_stats().prefetched_pages;
-        assert!(
-            after <= (head + 2 * window) as u64,
-            "worker overran the consumption gate: {} installed, head {}, window {}",
-            after,
-            head,
-            window
-        );
-
-        // Draining lifts the gate: the rest of the hint must complete without any
-        // further consumption, and decode results are unchanged throughout.
-        paged.wait_prefetch_idle();
-        let final_stats = paged.cache_stats();
-        assert!(final_stats.prefetched_pages >= after);
-        assert!(final_stats.prefetched_pages <= pages.len() as u64);
-        for (u, nbrs) in consumed {
-            assert_eq!(nbrs, compressed.neighbors_vec(u), "neighbourhood of {}", u);
-        }
         std::fs::remove_file(path).ok();
     }
 

@@ -60,8 +60,6 @@ counters! {
     // Paged store cache.
     (CacheHits, "cache_hits", Sum),
     (CacheMisses, "cache_misses", Sum),
-    (CachePrefetchedPages, "cache_prefetched_pages", Sum),
-    (CachePrefetchBytes, "cache_prefetch_bytes", Sum),
     (CacheRetriedReads, "cache_retried_reads", Sum),
     (CacheChecksumFailures, "cache_checksum_failures", Sum),
     // Streaming ingest spill files.

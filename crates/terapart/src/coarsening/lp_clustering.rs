@@ -310,9 +310,6 @@ pub fn cluster_with_scratch(
     struct ClusteringRounds<'r> {
         seed: u64,
         run: &'r mut dyn FnMut(&[NodeId], Option<&AtomicBitset>) -> usize,
-        /// Forwards the round's visit order to the graph's readahead hint (a no-op on
-        /// in-memory representations).
-        prefetch: &'r dyn Fn(&[NodeId]),
     }
 
     impl LpRoundSemantics for ClusteringRounds<'_> {
@@ -327,12 +324,7 @@ pub fn cluster_with_scratch(
         fn run_round(&mut self, order: &[NodeId], frontier: Option<&AtomicBitset>) -> usize {
             (self.run)(order, frontier)
         }
-
-        fn prefetch_round(&mut self, order: &[NodeId]) {
-            (self.prefetch)(order);
-        }
     }
-    let prefetch = |order: &[NodeId]| graph.prefetch(order);
 
     match config.lp_mode {
         LabelPropagationMode::PerThreadRatingMaps => {
@@ -348,7 +340,6 @@ pub fn cluster_with_scratch(
             let mut semantics = ClusteringRounds {
                 seed,
                 run: &mut run,
-                prefetch: &prefetch,
             };
             drive_lp_rounds(n, config.lp_rounds, use_frontier, scratch, &mut semantics);
         }
@@ -365,7 +356,6 @@ pub fn cluster_with_scratch(
             let mut semantics = ClusteringRounds {
                 seed,
                 run: &mut run,
-                prefetch: &prefetch,
             };
             drive_lp_rounds(n, config.lp_rounds, use_frontier, scratch, &mut semantics);
         }

@@ -116,39 +116,6 @@ fn starved_page_cache_still_partitions_identically() {
     std::fs::remove_dir_all(dir).ok();
 }
 
-/// Prefetch is purely an optimisation: fixed-seed on-disk runs with and without the
-/// readahead worker produce bit-identical partitions, and the run exposes settled
-/// cache counters either way.
-#[test]
-fn prefetch_on_and_off_runs_are_bit_identical() {
-    let dir = scratch_dir("prefetch_identity");
-    let path = dir.join("instance.tpg");
-    stream_rgg2d_to_tpg(15_000, 14, 33, &path, &dir, 4, &Default::default()).unwrap();
-
-    let base = PartitionerConfig::terapart(8)
-        .with_threads(1)
-        .with_seed(7)
-        .with_page_budget(96 * 1024);
-    let off = partition_ondisk(&path, &base.clone().with_prefetch(false)).unwrap();
-    let on = partition_ondisk(&path, &base.with_prefetch(true)).unwrap();
-
-    assert_eq!(on.edge_cut, off.edge_cut);
-    assert_eq!(
-        on.partition.assignment(),
-        off.partition.assignment(),
-        "prefetch changed the fixed-seed partition"
-    );
-    let off_stats = off.cache_stats.expect("on-disk runs expose cache stats");
-    let on_stats = on.cache_stats.expect("on-disk runs expose cache stats");
-    assert_eq!(off_stats.prefetched_pages, 0);
-    assert!(
-        on_stats.prefetched_pages > 0,
-        "the readahead worker never ran: {:?}",
-        on_stats
-    );
-    std::fs::remove_dir_all(dir).ok();
-}
-
 /// The mmap fast path is a pure representation change: fixed-seed runs through the
 /// `Mmap` backend produce partitions bit-identical to the paged backend and the
 /// in-memory compressed path — on an Elias-Fano container (the writer default) and on
