@@ -280,11 +280,10 @@ fn main() {
     );
 
     // ---- Full pipeline with phase breakdown, recorded through the obs layer. ----
-    let tracker = PhaseTracker::new();
     memtrack::global().reset_peak();
-    let (measurement, run_report) = {
+    let (measurement, phases, run_report) = {
         let recording_config = config.clone().with_run_report(true);
-        let result = terapart::partition_csr_with_tracker(&graph, &recording_config, &tracker);
+        let result = terapart::partition_csr(&graph, &recording_config);
         let report = result
             .run_report
             .expect("recording config attaches a run report");
@@ -295,9 +294,10 @@ fn main() {
                 k: config.k,
                 edge_cut: result.edge_cut,
                 time: result.total_time,
-                peak_memory_bytes: result.peak_memory_bytes.max(tracker.overall_peak()),
+                peak_memory_bytes: result.peak_memory_bytes,
                 balanced: result.partition.is_balanced(),
             },
+            result.phase_reports,
             report,
         )
     };
@@ -353,12 +353,10 @@ fn main() {
     for page_budget in [128 * 1024usize, 2 * 1024 * 1024] {
         let mut ondisk_config = PartitionerConfig::terapart(16).with_page_budget(page_budget);
         ondisk_config.ondisk.page_size = page_size;
-        let ondisk_tracker = PhaseTracker::new();
         memtrack::global().reset_peak();
-        let result =
-            terapart::partition_ondisk_with_tracker(&tpg_path, &ondisk_config, &ondisk_tracker)
-                .expect("on-disk bench run failed");
-        let peak = result.peak_memory_bytes.max(ondisk_tracker.overall_peak());
+        let result = terapart::partition_ondisk(&tpg_path, &ondisk_config)
+            .expect("on-disk bench run failed");
+        let peak = result.peak_memory_bytes;
         let cache = result.cache_stats;
         println!(
             "partition_ondisk @ {:>10}: cut={} peak={} ({:.2}x of CSR) time={:.2}s \
@@ -443,12 +441,10 @@ fn main() {
             ladder_config = ladder_config.with_page_budget(2 * 1024 * 1024);
             ladder_config.ondisk.page_size = page_size;
         }
-        let ladder_tracker = PhaseTracker::new();
         memtrack::global().reset_peak();
-        let result =
-            terapart::partition_ondisk_with_tracker(ladder_path, &ladder_config, &ladder_tracker)
-                .expect("store-backend ladder run failed");
-        let peak = result.peak_memory_bytes.max(ladder_tracker.overall_peak());
+        let result = terapart::partition_ondisk(ladder_path, &ladder_config)
+            .expect("store-backend ladder run failed");
+        let peak = result.peak_memory_bytes;
         match ladder_cut {
             None => ladder_cut = Some(result.edge_cut),
             Some(cut) => assert_eq!(
@@ -586,7 +582,7 @@ fn main() {
         instance,
         &graph,
         &config,
-        &tracker,
+        &phases,
         &measurement,
         &[contraction, refinement, initial],
         Some(&stream_ingest),

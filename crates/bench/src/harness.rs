@@ -13,8 +13,8 @@ use std::time::Duration;
 
 use graph::csr::CsrGraph;
 use graph::traits::Graph;
-use memtrack::PhaseTracker;
-use terapart::{partition_csr_with_tracker, PartitionerConfig};
+use memtrack::PhaseReport;
+use terapart::{partition_csr, PartitionerConfig};
 
 /// One measured partitioning run.
 #[derive(Debug, Clone)]
@@ -58,16 +58,15 @@ pub fn measure_run(
     graph: &CsrGraph,
     config: &PartitionerConfig,
 ) -> Measurement {
-    let tracker = PhaseTracker::new();
     memtrack::global().reset_peak();
-    let result = partition_csr_with_tracker(graph, config, &tracker);
+    let result = partition_csr(graph, config);
     Measurement {
         instance: instance.to_string(),
         algorithm: algorithm.to_string(),
         k: config.k,
         edge_cut: result.edge_cut,
         time: result.total_time,
-        peak_memory_bytes: result.peak_memory_bytes.max(tracker.overall_peak()),
+        peak_memory_bytes: result.peak_memory_bytes,
         balanced: result.partition.is_balanced(),
     }
 }
@@ -82,9 +81,8 @@ pub fn measure_run_reported(
     config: &PartitionerConfig,
 ) -> (Measurement, obs::RunReport) {
     let recording = config.clone().with_run_report(true);
-    let tracker = PhaseTracker::new();
     memtrack::global().reset_peak();
-    let result = partition_csr_with_tracker(graph, &recording, &tracker);
+    let result = partition_csr(graph, &recording);
     let report = result
         .run_report
         .expect("recording config attaches a run report");
@@ -94,7 +92,7 @@ pub fn measure_run_reported(
         k: config.k,
         edge_cut: result.edge_cut,
         time: result.total_time,
-        peak_memory_bytes: result.peak_memory_bytes.max(tracker.overall_peak()),
+        peak_memory_bytes: result.peak_memory_bytes,
         balanced: result.partition.is_balanced(),
     };
     (measurement, report)
@@ -127,7 +125,7 @@ pub struct OndiskRun {
     /// Uncompressed CSR size of the instance, the memory reference point.
     pub csr_bytes: usize,
     /// Per-phase reports of the run (includes the `open_store` phase).
-    pub phases: Vec<memtrack::PhaseReport>,
+    pub phases: Vec<PhaseReport>,
     /// Page-cache counters of the run (hit rate, retried reads, ...).
     pub cache: Option<graph::store::CacheStatsSnapshot>,
 }
@@ -296,7 +294,7 @@ pub fn write_pipeline_json(
     instance: &str,
     graph: &CsrGraph,
     config: &PartitionerConfig,
-    tracker: &PhaseTracker,
+    phases: &[PhaseReport],
     measurement: &Measurement,
     micro: &[MicroComparison],
     stream_ingest: Option<&StreamIngestRun>,
@@ -324,8 +322,7 @@ pub fn write_pipeline_json(
         measurement.peak_memory_bytes
     ));
     out.push_str("  \"phases\": [\n");
-    let reports = tracker.reports();
-    for (i, report) in reports.iter().enumerate() {
+    for (i, report) in phases.iter().enumerate() {
         out.push_str(&format!(
             "    {{\"name\": \"{}\", \"level\": {}, \"seconds\": {:.6}, \"peak_bytes\": {}, \"aux_bytes\": {}}}{}\n",
             json_escape(&report.name),
@@ -333,7 +330,7 @@ pub fn write_pipeline_json(
             report.elapsed.as_secs_f64(),
             report.peak_bytes,
             report.auxiliary_bytes(),
-            if i + 1 < reports.len() { "," } else { "" }
+            if i + 1 < phases.len() { "," } else { "" }
         ));
     }
     out.push_str("  ],\n");

@@ -17,7 +17,7 @@
 //! value. Both word counts derive from `count` and `universe` alone, so a reader can
 //! locate every following container section from the header without decoding the
 //! index first (see [`ef_section_bytes`]). Lookups use a sampled `select1` over the
-//! upper bits: the position of every [`SELECT_QUANTUM`]-th set bit is kept, and a
+//! upper bits: the position of every `SELECT_QUANTUM`-th set bit is kept, and a
 //! query popcount-scans at most a few words from the preceding sample.
 
 use crate::io::IoError;

@@ -133,12 +133,6 @@ impl PhaseTracker {
         (result, report)
     }
 
-    /// Records an externally measured phase (used by code that cannot wrap the phase in a
-    /// closure, e.g. across FFI-style boundaries or when replaying saved measurements).
-    pub fn record(&self, report: PhaseReport) {
-        self.reports.lock().push(report);
-    }
-
     /// Returns all reports recorded so far, in execution order.
     pub fn reports(&self) -> Vec<PhaseReport> {
         self.reports.lock().clone()
@@ -154,11 +148,6 @@ impl PhaseTracker {
             .unwrap_or(0)
     }
 
-    /// Returns the total elapsed time across all recorded phases.
-    pub fn total_elapsed(&self) -> Duration {
-        self.reports.lock().iter().map(|r| r.elapsed).sum()
-    }
-
     /// Returns the peak memory of the phase with the given name (max over levels), if any
     /// such phase was recorded.
     pub fn peak_of(&self, name: &str) -> Option<usize> {
@@ -168,11 +157,6 @@ impl PhaseTracker {
             .filter(|r| r.name == name)
             .map(|r| r.peak_bytes)
             .max()
-    }
-
-    /// Removes all recorded reports.
-    pub fn clear(&self) {
-        self.reports.lock().clear();
     }
 }
 
@@ -221,15 +205,6 @@ mod tests {
     }
 
     #[test]
-    fn clear_empties_reports() {
-        let tracker = PhaseTracker::new();
-        tracker.run("a", 0, || ());
-        tracker.clear();
-        assert!(tracker.reports().is_empty());
-        assert_eq!(tracker.overall_peak(), 0);
-    }
-
-    #[test]
     fn phase_handle_tracks_the_live_stack() {
         let tracker = PhaseTracker::new();
         let handle = tracker.phase_handle();
@@ -254,20 +229,5 @@ mod tests {
         }));
         assert!(result.is_err());
         assert_eq!(handle.current(), None, "guard must pop on unwind");
-    }
-
-    #[test]
-    fn record_external_report() {
-        let tracker = PhaseTracker::new();
-        tracker.record(PhaseReport {
-            name: "io".into(),
-            level: 0,
-            bytes_at_entry: 0,
-            peak_bytes: 777,
-            bytes_at_exit: 100,
-            elapsed: Duration::from_millis(5),
-        });
-        assert_eq!(tracker.peak_of("io"), Some(777));
-        assert!(tracker.total_elapsed() >= Duration::from_millis(5));
     }
 }

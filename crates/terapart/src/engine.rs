@@ -21,6 +21,19 @@
 //!   with a structured [`PartitionError`] and leaves co-tenant sessions, the store and
 //!   the registry healthy.
 //!
+//! The engine has one entry point per input kind:
+//!
+//! | method | input |
+//! |---|---|
+//! | [`PartitionEngine::partition`] | any in-memory [`Graph`], used as-is |
+//! | [`PartitionEngine::partition_csr`] | a [`CsrGraph`], compressed first under `use_compression` |
+//! | [`PartitionEngine::partition_path`] | a `.tpg` container path, opened through the registry |
+//! | [`PartitionEngine::partition_store`] | an already-open [`StoreHandle`] |
+//!
+//! Each request records its own phase reports; the returned
+//! [`PartitionResult::phase_reports`] and [`PartitionResult::peak_memory_bytes`]
+//! include the input phases (`compress_input`, `open_store`).
+//!
 //! Engine-level knobs (thread default, store geometry, compression policy) live in
 //! [`EngineConfig`]; request-level knobs (k, epsilon, seed, refinement settings,
 //! observability, memory budget) live in [`PartitionRequest`]. A request resolves
@@ -36,9 +49,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use graph::builder::compress_csr_parallel;
 use graph::csr::CsrGraph;
 use graph::io::IoError;
-use graph::store::{
-    CacheStatsSnapshot, PagedGraph, RetryPolicy, StoreHandle, StoreRegistry, StoreSession,
-};
+use graph::store::{RetryPolicy, StoreHandle, StoreRegistry};
 use graph::traits::Graph;
 use graph::CompressionConfig;
 use memtrack::{MemoryScope, PhaseTracker};
@@ -370,22 +381,12 @@ impl PartitionEngine {
 
     /// Partitions any in-memory [`Graph`] representation as-is (no compression step).
     pub fn partition(&self, graph: &impl Graph, request: &PartitionRequest) -> PartitionResult {
-        let tracker = PhaseTracker::new();
-        self.partition_with_tracker(graph, request, &tracker)
-    }
-
-    /// [`Self::partition`] with an externally supplied phase tracker.
-    pub fn partition_with_tracker(
-        &self,
-        graph: &impl Graph,
-        request: &PartitionRequest,
-        tracker: &PhaseTracker,
-    ) -> PartitionResult {
         let config = request.effective_config(&self.config);
+        let tracker = PhaseTracker::new();
         let session = ObsSession::new(&config);
         let result = {
             let mut scratch = self.pool.checkout();
-            partition_with_session(graph, &config, tracker, session, &mut scratch)
+            partition_with_session(graph, &config, &tracker, session, &mut scratch)
         };
         self.enforce_budget(request);
         result
@@ -395,30 +396,20 @@ impl PartitionEngine {
     /// `use_compression` the input is compressed first (reported as the
     /// `compress_input` phase) and the pipeline runs on the compressed representation.
     pub fn partition_csr(&self, graph: &CsrGraph, request: &PartitionRequest) -> PartitionResult {
-        let tracker = PhaseTracker::new();
-        self.partition_csr_with_tracker(graph, request, &tracker)
-    }
-
-    /// [`Self::partition_csr`] with an externally supplied phase tracker.
-    pub fn partition_csr_with_tracker(
-        &self,
-        graph: &CsrGraph,
-        request: &PartitionRequest,
-        tracker: &PhaseTracker,
-    ) -> PartitionResult {
         let config = request.effective_config(&self.config);
+        let tracker = PhaseTracker::new();
         let session = ObsSession::new(&config);
         let result = if config.use_compression {
-            let compressed = obs_phase(&session.handle, tracker, "compress_input", 0, || {
+            let compressed = obs_phase(&session.handle, &tracker, "compress_input", 0, || {
                 compress_csr_parallel(graph, &CompressionConfig::default(), config.num_threads)
             });
             let _graph_charge = MemoryScope::charge_global(compressed.size_in_bytes());
             let mut scratch = self.pool.checkout();
-            partition_with_session(&compressed, &config, tracker, session, &mut scratch)
+            partition_with_session(&compressed, &config, &tracker, session, &mut scratch)
         } else {
             let _graph_charge = MemoryScope::charge_global(graph.size_in_bytes());
             let mut scratch = self.pool.checkout();
-            partition_with_session(graph, &config, tracker, session, &mut scratch)
+            partition_with_session(graph, &config, &tracker, session, &mut scratch)
         };
         self.enforce_budget(request);
         result
@@ -426,84 +417,54 @@ impl PartitionEngine {
 
     /// Partitions the `.tpg` container at `path`, opening it through the engine's
     /// registry (deduplicated against other requests for the same container) and
-    /// reading it through a per-request session. See
-    /// [`crate::partition_ondisk`] for the semantics and error contract.
+    /// reading it through a per-request session. The container open (or registry hit)
+    /// is reported as the `open_store` phase. See [`crate::partition_ondisk`] for the
+    /// semantics and error contract.
     pub fn partition_path(
         &self,
         path: impl AsRef<Path>,
         request: &PartitionRequest,
     ) -> Result<PartitionResult, PartitionError> {
-        let tracker = PhaseTracker::new();
-        self.partition_path_with_tracker(path, request, &tracker)
-    }
-
-    /// [`Self::partition_path`] with an externally supplied phase tracker. The
-    /// container open (or registry hit) is reported as the `open_store` phase.
-    pub fn partition_path_with_tracker(
-        &self,
-        path: impl AsRef<Path>,
-        request: &PartitionRequest,
-        tracker: &PhaseTracker,
-    ) -> Result<PartitionResult, PartitionError> {
         let config = request.effective_config(&self.config);
+        let tracker = PhaseTracker::new();
         let obs = ObsSession::new(&config);
-        let store = obs_phase(&obs.handle, tracker, "open_store", 0, || {
+        let store = obs_phase(&obs.handle, &tracker, "open_store", 0, || {
             self.registry.open(path, &config.ondisk)
         })
         .map_err(|e| {
             PartitionError::new(Some("open_store@0".into()), "opening the .tpg container", e)
         })?;
-        let result = self.run_store(&store, &config, tracker, obs);
+        let result = self.run_store(&store, &config, &tracker, obs);
         self.enforce_budget(request);
         result
     }
 
     /// Partitions an already-open shared store. Each call creates its own
-    /// [`StoreSession`], so concurrent calls against one `Arc<StoreHandle>` are
-    /// isolated: a storage fault fails only the session that hit it.
+    /// [`graph::StoreSession`], so concurrent calls against one `Arc<StoreHandle>` are
+    /// isolated: a storage fault fails only the session that hit it. A
+    /// [`StoreHandle::Paged`] wrapping a [`graph::PagedGraph`] opened over a custom
+    /// backend is how the fault-injection harness drives the pipeline.
     pub fn partition_store(
         &self,
         store: &StoreHandle,
         request: &PartitionRequest,
     ) -> Result<PartitionResult, PartitionError> {
-        let tracker = PhaseTracker::new();
-        self.partition_store_with_tracker(store, request, &tracker)
-    }
-
-    /// [`Self::partition_store`] with an externally supplied phase tracker.
-    pub fn partition_store_with_tracker(
-        &self,
-        store: &StoreHandle,
-        request: &PartitionRequest,
-        tracker: &PhaseTracker,
-    ) -> Result<PartitionResult, PartitionError> {
         let config = request.effective_config(&self.config);
-        let obs = ObsSession::new(&config);
-        let result = self.run_store(store, &config, tracker, obs);
+        let result = self.run_store(
+            store,
+            &config,
+            &PhaseTracker::new(),
+            ObsSession::new(&config),
+        );
         self.enforce_budget(request);
         result
     }
 
-    /// Partitions an already-open [`PagedGraph`] through a per-request session — the
-    /// entry point the fault-injection harness uses with custom backends.
-    pub fn partition_paged_with_tracker(
-        &self,
-        graph: &PagedGraph,
-        request: &PartitionRequest,
-        tracker: &PhaseTracker,
-    ) -> Result<PartitionResult, PartitionError> {
-        let config = request.effective_config(&self.config);
-        let obs = ObsSession::new(&config);
-        let session = StoreSession::paged(graph);
-        let result = self.run_session(&session, &config, tracker, obs, || {
-            Some(graph.cache_stats())
-        });
-        self.enforce_budget(request);
-        result
-    }
-
-    /// Shared store-session run: session for `store`, pipeline, poison check,
-    /// cache-stats snapshot.
+    /// Runs the pipeline against a fresh [`graph::StoreSession`] of `store`. The fault
+    /// observer labels any mid-run storage fault with the pipeline phase it
+    /// interrupted; a poisoned session discards its partial result and surfaces the
+    /// first fatal error. Only the session is poisoned — the underlying store and its
+    /// other sessions are untouched.
     fn run_store(
         &self,
         store: &StoreHandle,
@@ -512,27 +473,11 @@ impl PartitionEngine {
         obs: ObsSession,
     ) -> Result<PartitionResult, PartitionError> {
         let session = store.session();
-        self.run_session(&session, config, tracker, obs, || store.cache_stats())
-    }
-
-    /// Runs the pipeline against one [`StoreSession`]. The fault observer labels any
-    /// mid-run storage fault with the pipeline phase it interrupted; a poisoned
-    /// session discards its partial result and surfaces the first fatal error. Only
-    /// the session is poisoned — the underlying store and its other sessions are
-    /// untouched.
-    fn run_session(
-        &self,
-        session: &StoreSession<'_>,
-        config: &PartitionerConfig,
-        tracker: &PhaseTracker,
-        obs: ObsSession,
-        cache_stats: impl FnOnce() -> Option<CacheStatsSnapshot>,
-    ) -> Result<PartitionResult, PartitionError> {
         let phases = tracker.phase_handle();
         session.set_fault_observer(move || phases.current().unwrap_or_default());
         let mut result = {
             let mut scratch = self.pool.checkout();
-            partition_with_session(session, config, tracker, obs, &mut scratch)
+            partition_with_session(&session, config, tracker, obs, &mut scratch)
         };
         if let Some(fatal) = session.take_fatal_error() {
             return Err(PartitionError::new(
@@ -541,7 +486,7 @@ impl PartitionEngine {
                 IoError::Io(fatal.error),
             ));
         }
-        result.cache_stats = cache_stats();
+        result.cache_stats = store.cache_stats();
         Ok(result)
     }
 

@@ -1,8 +1,9 @@
 //! TeraPart: memory-efficient shared-memory multilevel graph partitioning.
 //!
-//! This crate is the reproduction of the paper's primary contribution. It implements the
-//! KaMinPar-style deep multilevel partitioning pipeline together with the three TeraPart
-//! optimizations:
+//! This crate is the reproduction of the paper's primary contribution. It implements a
+//! multilevel partitioning pipeline — coarsen to `contraction_limit·k` vertices, partition
+//! the coarsest graph by parallel recursive bisection, then uncoarsen with refinement —
+//! together with the three TeraPart optimizations:
 //!
 //! 1. **Two-phase label propagation** clustering ([`coarsening::lp_clustering`]), which
 //!    replaces the per-thread `O(n)` rating maps with small fixed-capacity hash tables and
@@ -71,11 +72,7 @@ pub use engine::{EngineConfig, PartitionEngine, PartitionRequest, ScratchLease, 
 pub use error::PartitionError;
 pub use initial::{initial_partition, initial_partition_with_scratch};
 pub use partition::{BlockId, Partition};
-pub use partitioner::{
-    partition, partition_csr, partition_csr_with_tracker, partition_ondisk,
-    partition_ondisk_with_tracker, partition_paged_with_tracker, partition_with_tracker,
-    PartitionResult,
-};
+pub use partitioner::{partition, partition_csr, partition_ondisk, PartitionResult};
 pub use scratch::{AtomicBitset, HierarchyScratch};
 
 /// Retry/backoff policy of the on-disk page cache, re-exported for

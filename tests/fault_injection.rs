@@ -8,9 +8,11 @@
 use graph::store::{stream_rgg2d_to_tpg, FaultPlan, FaultyBackend, FileBackend, TpgWriter};
 use graph::traits::Graph;
 use graph::{gen, NodeId, PagedGraph};
-use memtrack::PhaseTracker;
 use std::time::Duration;
-use terapart::{partition_ondisk, partition_paged_with_tracker, PartitionerConfig, RetryPolicy};
+use terapart::{
+    partition_ondisk, EngineConfig, PartitionEngine, PartitionRequest, PartitionerConfig,
+    RetryPolicy, StoreHandle,
+};
 
 fn scratch_dir(name: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!(
@@ -55,11 +57,12 @@ fn partition_under_faults(
     let stats = backend.stats();
     let result = match PagedGraph::open_with_backend(Box::new(backend), &config.ondisk) {
         Ok(paged) => {
-            let tracker = PhaseTracker::new();
-            let result = partition_paged_with_tracker(&paged, config, &tracker);
+            let store = StoreHandle::Paged(paged);
+            let engine = PartitionEngine::with_config(EngineConfig::from_partitioner(config));
+            let result = engine.partition_store(&store, &PartitionRequest::from_config(config));
             // The poison protocol is drain-once: after the driver consumed the
             // fatal error (or there was none), nothing is left behind.
-            assert!(paged.take_fatal_error().is_none());
+            assert!(store.as_paged().unwrap().take_fatal_error().is_none());
             result
         }
         Err(e) => Err(terapart::PartitionError {
