@@ -4,7 +4,8 @@
 //! memory stays below the uncompressed CSR byte size, and (c) the result is a complete,
 //! balanced partition. Then (d) the pipelined streamed ingest must reproduce the
 //! materialised container byte for byte, (e) the store-backend ladder (paged/mmap ×
-//! plain/Elias-Fano offsets) must produce one identical cut, and (f) one engine serving
+//! plain/Elias-Fano offsets, plus a 4 KiB-page paged run) must produce one identical cut
+//! with no paged run reading more bytes than its misses install, and (f) one engine serving
 //! concurrent sessions on a shared store must reproduce the sequential cuts. Exits
 //! non-zero on any violation, so CI fails loudly.
 //!
@@ -139,9 +140,15 @@ fn main() {
         plain_meta.offsets_len_bytes()
     );
     let ladder_base = config.clone().with_threads(1);
+    // 4 KiB pages (the OS page and the writer's default checksum block): each miss
+    // must read and verify exactly the page it installs, with no staging of a larger
+    // covering block.
+    let mut small_pages = ladder_base.clone();
+    small_pages.ondisk.page_size = 4 * 1024;
     let mut ladder_cut: Option<u64> = None;
     for (label, ladder_path, ladder_config) in [
         ("paged/ef", &path, ladder_base.clone()),
+        ("paged/ef/4k-pages", &path, small_pages),
         (
             "mmap/ef",
             &path,
@@ -167,6 +174,24 @@ fn main() {
             "SMOKE FAIL: ladder run {} produced an invalid partition",
             label
         );
+        if let Some(cache) = run.cache_stats {
+            let page_size = ladder_config.ondisk.page_size as u64;
+            println!(
+                "  {} misses, {:.0} B read per miss ({} B pages)",
+                cache.misses,
+                cache.bytes_read as f64 / cache.misses.max(1) as f64,
+                page_size
+            );
+            assert!(
+                cache.bytes_read <= cache.misses * page_size,
+                "SMOKE FAIL: ladder run {} read {} B for {} misses of {} B pages \
+                 (checksum verification amplifies reads)",
+                label,
+                cache.bytes_read,
+                cache.misses,
+                page_size
+            );
+        }
         match ladder_cut {
             None => ladder_cut = Some(run.edge_cut),
             Some(cut) => assert_eq!(
@@ -177,7 +202,7 @@ fn main() {
         }
     }
     println!(
-        "store-backend ladder: identical cut {} across all four runs",
+        "store-backend ladder: identical cut {} across all five runs",
         ladder_cut.unwrap()
     );
 

@@ -47,12 +47,21 @@ pub trait StorageBackend: Send + Sync + std::fmt::Debug {
 }
 
 /// Reads exactly `buf.len()` bytes at `offset`, looping over short reads. Fails with
-/// [`io::ErrorKind::UnexpectedEof`] if the store ends first. This is the only place
-/// short reads are resolved, so every backend read funnels through one code path.
-pub fn read_full_at(
+/// [`io::ErrorKind::UnexpectedEof`] if the store ends first. This (through
+/// `read_full_at_counted`) is the only place short reads are resolved, so every
+/// backend read funnels through one code path.
+pub fn read_full_at(backend: &dyn StorageBackend, buf: &mut [u8], offset: u64) -> io::Result<()> {
+    read_full_at_counted(backend, buf, offset, |_| {})
+}
+
+/// [`read_full_at`] that reports the byte count of every successful backend read to
+/// `on_read` — what the backend actually transferred, including the part of an
+/// attempt that ends in an error.
+pub(crate) fn read_full_at_counted(
     backend: &dyn StorageBackend,
     mut buf: &mut [u8],
     mut offset: u64,
+    mut on_read: impl FnMut(usize),
 ) -> io::Result<()> {
     while !buf.is_empty() {
         match backend.read_at(buf, offset) {
@@ -67,6 +76,7 @@ pub fn read_full_at(
                 ))
             }
             Ok(read) => {
+                on_read(read);
                 buf = &mut buf[read..];
                 offset += read as u64;
             }

@@ -29,7 +29,7 @@ use parking_lot::Mutex;
 
 use crate::compressed::{decode_neighborhood, decode_neighborhood_header, CompressionConfig};
 use crate::io::{io_error_is_transient, IoError};
-use crate::store::backend::{read_full_at, FileBackend, StorageBackend};
+use crate::store::backend::{read_full_at_counted, FileBackend, StorageBackend};
 use crate::store::container::{
     read_tpg_index_backend, read_tpg_meta_backend, retry_section, TpgChecksums, TpgMeta,
 };
@@ -156,7 +156,8 @@ pub struct CacheStatsSnapshot {
     pub misses: u64,
     /// Frames whose previous page was evicted to serve a miss.
     pub evictions: u64,
-    /// Bytes read from disk by page faults.
+    /// Bytes the backend transferred for page faults: whole covering checksum blocks
+    /// when a page is staged, and every retried attempt.
     pub bytes_read: u64,
     /// Read attempts repeated after a transient failure (see
     /// [`PagedGraphOptions::retry`]).
@@ -336,14 +337,31 @@ impl PageCache {
         Ok(())
     }
 
+    /// Reads exactly `buf.len()` bytes at data-section offset `offset`, adding every
+    /// byte the backend transfers to `bytes_read` (failed attempts included).
+    fn read_data(&self, buf: &mut [u8], offset: u64) -> io::Result<()> {
+        read_full_at_counted(
+            self.backend.as_ref(),
+            buf,
+            self.data_start + offset,
+            |read| {
+                self.stats
+                    .bytes_read
+                    .fetch_add(read as u64, Ordering::Relaxed);
+            },
+        )
+    }
+
     /// One attempt at reading `dest.len()` bytes at data-section offset `offset`,
-    /// verifying the covering checksum blocks. When the requested range is not
-    /// block-aligned, the covering block range is staged and verified before the
-    /// requested bytes are copied out (zero staging when `page_size` is a multiple of
-    /// the block length — the default geometry).
+    /// verifying the covering checksum blocks. A block-aligned request (every page
+    /// size that is a multiple of the block length, which includes all page sizes of
+    /// at least 4 KiB on a container written with the default block length) is read
+    /// and verified in place. Otherwise — containers written with larger blocks, or
+    /// sub-block pages — the covering block range is staged and verified before the
+    /// requested bytes are copied out.
     fn try_read_verified(&self, dest: &mut [u8], offset: u64) -> io::Result<()> {
         let Some(ck) = &self.checksums else {
-            return read_full_at(self.backend.as_ref(), dest, self.data_start + offset);
+            return self.read_data(dest, offset);
         };
         if dest.is_empty() {
             return Ok(());
@@ -356,15 +374,11 @@ impl PageCache {
             .saturating_mul(block_len)
             .min(self.data_len);
         if cover_start == offset && cover_end == end {
-            read_full_at(self.backend.as_ref(), dest, self.data_start + offset)?;
+            self.read_data(dest, offset)?;
             self.verify_blocks(dest, cover_start)
         } else {
             let mut staging = vec![0u8; (cover_end - cover_start) as usize];
-            read_full_at(
-                self.backend.as_ref(),
-                &mut staging,
-                self.data_start + cover_start,
-            )?;
+            self.read_data(&mut staging, cover_start)?;
             self.verify_blocks(&staging, cover_start)?;
             let skip = (offset - cover_start) as usize;
             dest.copy_from_slice(&staging[skip..skip + dest.len()]);
@@ -477,9 +491,6 @@ impl PageCache {
             frame.len = len as u32;
             frame.referenced = true;
         }
-        self.stats
-            .bytes_read
-            .fetch_add(len as u64, Ordering::Relaxed);
         s.map.insert(page, idx);
         let frame = &s.frames[idx];
         Ok(f(&frame.data[..frame.len as usize]))
@@ -872,7 +883,7 @@ mod tests {
     use crate::compressed::CompressedGraph;
     use crate::csr::CsrGraphBuilder;
     use crate::gen;
-    use crate::store::container::{write_tpg_from_graph, write_tpg_from_graph_plain};
+    use crate::store::container::{write_tpg_from_graph, write_tpg_from_graph_plain, TpgWriter};
     use proptest::prelude::*;
 
     fn tmp(name: &str) -> PathBuf {
@@ -1046,6 +1057,63 @@ mod tests {
         for u in 0..csr.n() as NodeId {
             assert_eq!(paged.first_edge(u), compressed.first_edge(u));
         }
+        std::fs::remove_file(path).ok();
+    }
+
+    #[test]
+    fn bytes_read_counts_the_staged_block_not_just_the_page() {
+        let csr = gen::rgg2d(20_000, 12, 3);
+        let page_size = 8 * 1024;
+        let options = PagedGraphOptions {
+            page_size,
+            budget_bytes: 4 * page_size,
+            shards: 1,
+            ..PagedGraphOptions::default()
+        };
+        let sweep = |paged: &PagedGraph| {
+            for u in 0..csr.n() as NodeId {
+                paged.for_each_neighbor(u, &mut |_, _| {});
+            }
+            paged.cache_stats()
+        };
+
+        // 64 KiB blocks under 8 KiB pages: every miss stages and reads its whole
+        // covering block, and `bytes_read` must say so.
+        let block_len = 64 * 1024;
+        let path = tmp("bytes_read_staged.tpg");
+        let mut writer = TpgWriter::create(&path, csr.n(), false, &CompressionConfig::default())
+            .unwrap()
+            .with_checksum_block_len(block_len);
+        for u in 0..csr.n() as NodeId {
+            writer
+                .push_neighborhood(u, &csr.neighbors_vec(u), csr.node_weight(u))
+                .unwrap();
+        }
+        let summary = writer.finish().unwrap();
+        assert!(summary.data_bytes > 2 * block_len as u64);
+        let staged = PagedGraph::open_with_options(&path, &options).unwrap();
+        staged.cache.with_page(0, |_| ()).unwrap();
+        let one = staged.cache_stats();
+        assert_eq!((one.misses, one.bytes_read), (1, block_len as u64));
+        let stats = sweep(&staged);
+        assert!(
+            stats.bytes_read > stats.misses * page_size as u64,
+            "{:?} hides the staging amplification",
+            stats
+        );
+        std::fs::remove_file(&path).ok();
+
+        // The default block length divides every page size of at least 4 KiB: a miss
+        // reads exactly the page it installs.
+        write_tpg_from_graph(&csr, &path, &CompressionConfig::default()).unwrap();
+        let direct = PagedGraph::open_with_options(&path, &options).unwrap();
+        let stats = sweep(&direct);
+        assert!(stats.misses > 0);
+        assert!(
+            stats.bytes_read <= stats.misses * page_size as u64,
+            "{:?} reads more than the pages it installs",
+            stats
+        );
         std::fs::remove_file(path).ok();
     }
 

@@ -5,7 +5,9 @@
 //! returns a structured [`PartitionError`] — it never panics, never deadlocks,
 //! never silently degrades the cut, and never leaks temporary files.
 
-use graph::store::{stream_rgg2d_to_tpg, FaultPlan, FaultyBackend, FileBackend, TpgWriter};
+use graph::store::{
+    stream_rgg2d_to_tpg, FaultPlan, FaultyBackend, FileBackend, OnDiskBackend, TpgWriter,
+};
 use graph::traits::Graph;
 use graph::{gen, NodeId, PagedGraph};
 use std::time::Duration;
@@ -247,6 +249,78 @@ fn mmap_open_path_heals_transients_and_fails_outages_structurally() {
         "the outage never fired"
     );
     assert!(!err.to_string().is_empty());
+    std::fs::remove_dir_all(dir).ok();
+}
+
+/// Writes `g` with the given checksum block length (the writer's only knob that
+/// changes the footer and nothing in the data section).
+fn write_with_block_len(g: &impl Graph, path: &std::path::Path, block_len: usize) {
+    let mut writer = TpgWriter::create(path, g.n(), g.is_edge_weighted(), &Default::default())
+        .unwrap()
+        .with_checksum_block_len(block_len);
+    for u in 0..g.n() as NodeId {
+        let mut nbrs = g.neighbors_vec(u);
+        nbrs.sort_unstable_by_key(|&(v, _)| v);
+        writer
+            .push_neighborhood(u, &nbrs, g.node_weight(u))
+            .unwrap();
+    }
+    writer.finish().unwrap();
+}
+
+/// Containers checksummed in blocks larger than a page (64 KiB, as written before
+/// the default became 4 KiB) stay fully supported: under 8 KiB pages every miss takes
+/// the staging branch of the paged reader, both backends open them, a single-threaded
+/// run is bit-identical to the same graph written with 4 KiB blocks, and a flipped
+/// data byte still fails the run with a structured checksum error.
+#[test]
+fn large_checksum_blocks_stage_verify_and_partition_identically() {
+    let dir = scratch_dir("large_blocks");
+    let g = gen::rgg2d(12_000, 16, 77);
+    let small = dir.join("blocks_4k.tpg");
+    let large = dir.join("blocks_64k.tpg");
+    write_with_block_len(&g, &small, 4 * 1024);
+    write_with_block_len(&g, &large, 64 * 1024);
+    let meta = graph::store::read_tpg_meta(&large).unwrap();
+    assert_eq!(meta.checksum_block_len, Some(64 * 1024));
+    assert!(
+        meta.data_len > 2 * 64 * 1024,
+        "data section under two blocks"
+    );
+    let data = meta.data_start() as usize..(meta.data_start() + meta.data_len) as usize;
+    let (small_bytes, large_bytes) = (
+        std::fs::read(&small).unwrap(),
+        std::fs::read(&large).unwrap(),
+    );
+    assert_eq!(small_bytes[data.clone()], large_bytes[data.clone()]);
+
+    let mut config = PartitionerConfig::terapart(4).with_threads(1).with_seed(9);
+    config.ondisk.page_size = 8 * 1024;
+    config.ondisk.budget_bytes = 64 * 1024;
+    let reference = partition_ondisk(&small, &config).unwrap();
+    for backend in [OnDiskBackend::Paged, OnDiskBackend::Mmap] {
+        let run = partition_ondisk(&large, &config.clone().with_store_backend(backend)).unwrap();
+        assert_eq!(
+            run.partition.assignment(),
+            reference.partition.assignment(),
+            "{:?} run on 64 KiB blocks diverged from the 4 KiB-block cut",
+            backend
+        );
+    }
+
+    let mut corrupt_bytes = large_bytes;
+    corrupt_bytes[data.start + data.len() / 2] ^= 0x10;
+    let corrupt = dir.join("corrupt.tpg");
+    std::fs::write(&corrupt, corrupt_bytes).unwrap();
+    assert!(graph::MmapGraph::open(&corrupt).is_err());
+    let store =
+        StoreHandle::Paged(PagedGraph::open_with_options(&corrupt, &config.ondisk).unwrap());
+    let engine = PartitionEngine::with_config(EngineConfig::from_partitioner(&config));
+    let err = engine
+        .partition_store(&store, &PartitionRequest::from_config(&config))
+        .expect_err("a flipped data byte must fail the run");
+    assert!(err.to_string().contains("checksum mismatch"), "{}", err);
+    assert!(store.as_paged().unwrap().cache_stats().checksum_failures > 0);
     std::fs::remove_dir_all(dir).ok();
 }
 
